@@ -47,8 +47,8 @@ from repro.defaults import (
     DEFAULT_TIME_LIMIT_SECONDS,
 )
 from repro.let.communication import Communication
-from repro.let.grouping import active_instants, communications_at
-from repro.milp import LinExpr, MilpModel, Var, lin_sum
+from repro.let.grouping import active_instants, communications_at, let_schedule
+from repro.milp import MilpModel, Sense, Var
 from repro.model.application import Application
 
 __all__ = ["Objective", "FormulationConfig", "LetDmaFormulation"]
@@ -56,6 +56,15 @@ __all__ = ["Objective", "FormulationConfig", "LetDmaFormulation"]
 #: Sentinel slot ids delimiting each memory's allocation chain.
 HEAD = "__head__"
 TAIL = "__tail__"
+
+
+def _rhs(constant: float = 0) -> float:
+    """The right-hand side of ``terms (op) constant`` as
+    :mod:`repro.milp.expr` folds it (``-(0.0 + constant * -1.0)``,
+    signed zero included): rows emitted with :meth:`MilpModel.add_row`
+    then equal, bit for bit, the rows their expression form builds, and
+    the LP file stays byte-identical."""
+    return -(0.0 + constant * -1.0)
 
 
 class Objective(enum.Enum):
@@ -210,6 +219,17 @@ class LetDmaFormulation:
 
         self.instants = active_instants(app)
         self.comm_index = {comm: z for z, comm in enumerate(self.comms)}
+        # C(t) of every distinct communication pattern of T*, as indices
+        # of the communications at s_0 (in C(t) order), with its bytes.
+        self.schedule = let_schedule(app)
+        self.pattern_present: list[list[int]] = [
+            [self.comm_index[c] for c in pattern if c in self.comm_index]
+            for pattern in self.schedule.patterns
+        ]
+        self.pattern_bytes = [
+            sum(self.sizes[z] for z in present) for present in self.pattern_present
+        ]
+        self._group_subsets = None
         self.total_bytes = sum(self.sizes)
         self.lambda_upper = (
             self.num_transfers * self.lambda_overhead
@@ -246,6 +266,23 @@ class LetDmaFormulation:
         # (:mod:`repro.milp.cuts`) can reason about the model.
         self.model.structure_hints = self
 
+    def _row(
+        self,
+        plus: list[Var],
+        minus: list[Var],
+        sense: Sense,
+        name: str,
+        constant: float = 0,
+    ) -> None:
+        """``sum(plus) - sum(minus) (sense) constant``."""
+        self.model.add_row(
+            plus + minus,
+            [1.0] * len(plus) + [-1.0] * len(minus),
+            sense,
+            _rhs(constant),
+            name,
+        )
+
     # -- variables ------------------------------------------------------
 
     def _add_allocation_variables(self) -> None:
@@ -261,7 +298,7 @@ class LetDmaFormulation:
                 upper = len(slots) + 1
                 var = model.add_continuous(f"PL[{memory_id}][{slot}]", 0.0, upper)
                 self.pl[(memory_id, slot)] = var
-            model.add(self.pl[(memory_id, HEAD)] == 0, name=f"head[{memory_id}]")
+            self._row([self.pl[(memory_id, HEAD)]], [], Sense.EQ, f"head[{memory_id}]")
             # AD[k,a,b] = 1 when b sits immediately after a in memory k.
             for a in [HEAD] + slots:
                 for b in slots + [TAIL]:
@@ -280,11 +317,15 @@ class LetDmaFormulation:
             for g in range(G):
                 self.cg[(z, g)] = model.add_binary(f"CG[{z}][{g}]")
         self.cgi: list[Var] = []
+        index_coefs = [1.0] + [-float(g) for g in range(1, G)]
         for z in range(len(self.comms)):
             var = model.add_continuous(f"CGI[{z}]", 0.0, G - 1)
-            model.add(
-                var == lin_sum(g * self.cg[(z, g)] for g in range(1, G)),
-                name=f"CGI_def[{z}]",
+            model.add_row(
+                [var] + [self.cg[(z, g)] for g in range(1, G)],
+                index_coefs,
+                Sense.EQ,
+                _rhs(),
+                f"CGI_def[{z}]",
             )
             self.cgi.append(var)
 
@@ -296,38 +337,41 @@ class LetDmaFormulation:
                 self.route_on[(route, g)] = model.add_binary(
                     f"RT[{route[0]}->{route[1]}][{g}]"
                 )
+        Z = len(self.comms)
         for g in range(G):
             # Exactly one route per used transfer; none when unused.
-            model.add(
-                lin_sum(self.route_on[(route, g)] for route in route_ids)
-                == self.used[g],
-                name=f"route_onehot[{g}]",
+            self._row(
+                [self.route_on[(route, g)] for route in route_ids],
+                [self.used[g]],
+                Sense.EQ,
+                f"route_onehot[{g}]",
             )
             # A used transfer carries at least one communication.
-            model.add(
-                self.used[g]
-                <= lin_sum(self.cg[(z, g)] for z in range(len(self.comms))),
-                name=f"used_nonempty[{g}]",
+            self._row(
+                [self.used[g]],
+                [self.cg[(z, g)] for z in range(Z)],
+                Sense.LE,
+                f"used_nonempty[{g}]",
             )
             if g > 0:
-                model.add(
-                    self.used[g] <= self.used[g - 1], name=f"compact[{g}]"
+                self._row(
+                    [self.used[g]], [self.used[g - 1]], Sense.LE, f"compact[{g}]"
                 )
-        for z in range(len(self.comms)):
+        for z in range(Z):
             for g in range(G):
-                model.add(
-                    self.cg[(z, g)] <= self.route_on[(self.routes[z], g)],
-                    name=f"same_route[{z}][{g}]",
+                self._row(
+                    [self.cg[(z, g)]],
+                    [self.route_on[(self.routes[z], g)]],
+                    Sense.LE,
+                    f"same_route[{z}][{g}]",
                 )
 
     # -- constraints -----------------------------------------------------
 
     def _constraint_1_one_transfer_per_comm(self) -> None:
         for z in range(len(self.comms)):
-            self.model.add(
-                lin_sum(self.cg[(z, g)] for g in range(self.num_transfers)) == 1,
-                name=f"C1[{z}]",
-            )
+            cgs = [self.cg[(z, g)] for g in range(self.num_transfers)]
+            self._row(cgs, [], Sense.EQ, f"C1[{z}]", 1)
 
     def _constraint_2_3_last_communication(self) -> None:
         """RG one-hot (Constraint 2) and RGI = max CGI (Constraint 3).
@@ -344,24 +388,26 @@ class LetDmaFormulation:
         for task_name, zs in sorted(self.task_comms.items()):
             for g in range(G):
                 self.rg[(task_name, g)] = model.add_binary(f"RG[{task_name}][{g}]")
-            model.add(
-                lin_sum(self.rg[(task_name, g)] for g in range(G)) == 1,
-                name=f"C2[{task_name}]",
-            )
+            rgs = [self.rg[(task_name, g)] for g in range(G)]
+            self._row(rgs, [], Sense.EQ, f"C2[{task_name}]", 1)
             rgi = model.add_continuous(f"RGI[{task_name}]", 0.0, G - 1)
-            model.add(
-                rgi == lin_sum(g * self.rg[(task_name, g)] for g in range(1, G)),
-                name=f"RGI_def[{task_name}]",
+            model.add_row(
+                [rgi] + rgs[1:],
+                [1.0] + [-float(g) for g in range(1, G)],
+                Sense.EQ,
+                _rhs(),
+                f"RGI_def[{task_name}]",
             )
             for z in zs:
-                model.add(rgi >= self.cgi[z], name=f"C3_ge[{task_name}][{z}]")
+                self._row([rgi], [self.cgi[z]], Sense.GE, f"C3_ge[{task_name}][{z}]")
             for g in range(G):
                 # The selected transfer must contain a communication of
                 # the task, pinning RGI to the maximum rather than above.
-                model.add(
-                    self.rg[(task_name, g)]
-                    <= lin_sum(self.cg[(z, g)] for z in zs),
-                    name=f"C3_sel[{task_name}][{g}]",
+                self._row(
+                    [rgs[g]],
+                    [self.cg[(z, g)] for z in zs],
+                    Sense.LE,
+                    f"C3_sel[{task_name}][{g}]",
                 )
             self.rgi[task_name] = rgi
 
@@ -377,39 +423,43 @@ class LetDmaFormulation:
                 successors = [
                     self.ad[(memory_id, a, b)] for b in slots + [TAIL] if b != a
                 ]
-                model.add(
-                    lin_sum(successors) == 1, name=f"C4_out[{memory_id}][{a}]"
-                )
+                self._row(successors, [], Sense.EQ, f"C4_out[{memory_id}][{a}]", 1)
             for b in slots + [TAIL]:
                 predecessors = [
                     self.ad[(memory_id, a, b)] for a in slots + [HEAD] if a != b
                 ]
-                model.add(
-                    lin_sum(predecessors) == 1, name=f"C4_in[{memory_id}][{b}]"
-                )
+                self._row(predecessors, [], Sense.EQ, f"C4_in[{memory_id}][{b}]", 1)
+            # pl_b >= pl_a + 1 - (1 - ad) * M  and  pl_b <= pl_a + 1 + (1 - ad) * M
+            big_m = float(big_m)
+            lo_rhs = _rhs(1.0 + big_m * -1.0)
+            hi_rhs = _rhs(1.0 + big_m)
             for (mem, a, b), ad in self.ad.items():
                 if mem != memory_id:
                     continue
-                pl_a = self.pl[(memory_id, a)]
-                pl_b = self.pl[(memory_id, b)]
-                model.add(
-                    pl_b >= pl_a + 1 - (1 - ad) * big_m,
-                    name=f"C5_lo[{memory_id}][{a}][{b}]",
+                chain = [self.pl[(memory_id, b)], self.pl[(memory_id, a)], ad]
+                model.add_row(
+                    chain,
+                    [1.0, -1.0, -big_m],
+                    Sense.GE,
+                    lo_rhs,
+                    f"C5_lo[{memory_id}][{a}][{b}]",
                 )
-                model.add(
-                    pl_b <= pl_a + 1 + (1 - ad) * big_m,
-                    name=f"C5_hi[{memory_id}][{a}][{b}]",
+                model.add_row(
+                    chain,
+                    [1.0, -1.0, big_m],
+                    Sense.LE,
+                    hi_rhs,
+                    f"C5_hi[{memory_id}][{a}][{b}]",
                 )
 
     # -- contiguity (Constraint 6) ---------------------------------------
 
-    def _pair_adjacency(self, i: int, z: int) -> Var | None:
+    def _pair_adjacency(self, i: int, z: int) -> Var:
         """Binary implied-AND: label of comm z immediately follows the
         label of comm i in *both* the global memory and their shared
         local memory.  Upper-only linking (the variable appears only on
-        the large side of Constraint 6), cached per (i, z)."""
-        if self.global_slot[i] == self.global_slot[z]:
-            return None  # a label cannot be adjacent to itself
+        the large side of Constraint 6), cached per (i, z).  The two
+        labels must differ: a label cannot be adjacent to itself."""
         key = (i, z)
         cached = self._pairadj_cache.get(key)
         if cached is not None:
@@ -419,23 +469,21 @@ class LetDmaFormulation:
         ad_global = self.ad[(global_id, self.global_slot[i], self.global_slot[z])]
         ad_local = self.ad[(memory_id, self.local_slot[i], self.local_slot[z])]
         var = self.model.add_binary(f"PADJ[{i}][{z}]")
-        self.model.add(var <= ad_global, name=f"PADJ_g[{i}][{z}]")
-        self.model.add(var <= ad_local, name=f"PADJ_l[{i}][{z}]")
+        self._row([var], [ad_global], Sense.LE, f"PADJ_g[{i}][{z}]")
+        self._row([var], [ad_local], Sense.LE, f"PADJ_l[{i}][{z}]")
         self._pairadj_cache[key] = var
         return var
 
-    def _lg_term(self, i: int, z: int, g: int) -> Var | None:
+    def _lg_term(self, i: int, z: int, g: int) -> Var:
         """LG^z_{label(i), label(z), g} of Constraint 6 (upper-linked)."""
-        adjacency = self._pair_adjacency(i, z)
-        if adjacency is None:
-            return None
         key = (i, z, g)
         cached = self._lg_cache.get(key)
         if cached is not None:
             return cached
+        adjacency = self._pair_adjacency(i, z)
         var = self.model.add_binary(f"LG[{i}][{z}][{g}]")
-        self.model.add(var <= adjacency, name=f"LG_adj[{i}][{z}][{g}]")
-        self.model.add(var <= self.cg[(z, g)], name=f"LG_cg[{i}][{z}][{g}]")
+        self._row([var], [adjacency], Sense.LE, f"LG_adj[{i}][{z}][{g}]")
+        self._row([var], [self.cg[(z, g)]], Sense.LE, f"LG_cg[{i}][{z}][{g}]")
         self._lg_cache[key] = var
         return var
 
@@ -461,49 +509,57 @@ class LetDmaFormulation:
     def _add_pair_contiguity(
         self, i: int, j: int, zs: list[int], tag: str
     ) -> None:
-        model = self.model
         if self.global_slot[i] == self.global_slot[j]:
             # Same label copied twice in one direction: the source block
             # can never be contiguous; the two must use distinct
             # transfers (DESIGN.md §6).
             for g in range(self.num_transfers):
-                model.add(
-                    self.cg[(i, g)] + self.cg[(j, g)] <= 1,
-                    name=f"{tag}_samelabel[{i}][{j}][{g}]",
+                self._row(
+                    [self.cg[(i, g)], self.cg[(j, g)]],
+                    [],
+                    Sense.LE,
+                    f"{tag}_samelabel[{i}][{j}][{g}]",
+                    1,
                 )
             return
+        # (anchor, z) pairs whose labels differ, so can be adjacent.
+        links = [
+            (anchor, z)
+            for z in zs
+            for anchor in (i, j)
+            if z != anchor and self.global_slot[anchor] != self.global_slot[z]
+        ]
         for g in range(self.num_transfers):
-            terms = []
-            for z in zs:
-                for anchor in (i, j):
-                    if z == anchor:
-                        continue
-                    term = self._lg_term(anchor, z, g)
-                    if term is not None:
-                        terms.append(term)
-            model.add(
-                self.cg[(i, g)] + self.cg[(j, g)] - 1 <= lin_sum(terms),
-                name=f"{tag}[{i}][{j}][{g}]",
+            self._row(
+                [self.cg[(i, g)], self.cg[(j, g)]],
+                [self._lg_term(anchor, z, g) for anchor, z in links],
+                Sense.LE,
+                f"{tag}[{i}][{j}][{g}]",
+                1,
             )
 
     def _distinct_group_subsets(self) -> dict[tuple[str, str], list[frozenset[int]]]:
         """For each (direction, local memory) group, the distinct
         subsets of its communications occurring at some t in T*
-        (the full s_0 set is always among them)."""
+        (the full s_0 set is always among them).
+
+        Computed once from the schedule's distinct patterns and shared
+        by Constraint 6, symmetry breaking and the cut layer: treat the
+        result as read-only."""
+        if self._group_subsets is not None:
+            return self._group_subsets
         subsets: dict[tuple[str, str], set[frozenset[int]]] = {
             key: set() for key in self.groups
         }
-        for t in self.instants:
-            present = {
-                self.comm_index[c]
-                for c in communications_at(self.app, t)
-                if c in self.comm_index
-            }
+        for present in map(set, self.pattern_present):
             for key, zs in self.groups.items():
                 subset = frozenset(z for z in zs if z in present)
                 if len(subset) >= 2:
                     subsets[key].add(subset)
-        return {key: sorted(values, key=sorted) for key, values in subsets.items()}
+        self._group_subsets = {
+            key: sorted(values, key=sorted) for key, values in subsets.items()
+        }
+        return self._group_subsets
 
     # -- LET ordering and timing ------------------------------------------
 
@@ -514,10 +570,7 @@ class LetDmaFormulation:
             reads = [z for z in zs if self.comms[z].is_read]
             for w in writes:
                 for r in reads:
-                    self.model.add(
-                        self.cgi[w] + 1 <= self.cgi[r],
-                        name=f"C7[{task_name}][{w}][{r}]",
-                    )
+                    self._add_precedence(w, r, f"C7[{task_name}][{w}][{r}]")
 
     def _constraint_8_label_causality(self) -> None:
         """Property 2: a label's write precedes each of its reads."""
@@ -532,9 +585,11 @@ class LetDmaFormulation:
             w = writes_by_label.get(comm.label)
             if w is None:
                 continue
-            self.model.add(
-                self.cgi[w] + 1 <= self.cgi[r], name=f"C8[{comm.label}][{r}]"
-            )
+            self._add_precedence(w, r, f"C8[{comm.label}][{r}]")
+
+    def _add_precedence(self, w: int, r: int, name: str) -> None:
+        """``CGI_w + 1 <= CGI_r``."""
+        self._row([self.cgi[w]], [self.cgi[r]], Sense.LE, name, -1)
 
     def _constraint_9_latency(self) -> None:
         """Data acquisition latency accounting and deadlines.
@@ -547,29 +602,36 @@ class LetDmaFormulation:
         model = self.model
         G = self.num_transfers
         big_m = self.lambda_upper + 1.0
-        prefix_bytes: list[LinExpr] = []
-        running = LinExpr()
+        overhead = 1.0 * self.lambda_overhead
+        # The bytes of transfers 0..g, as CG columns and their
+        # coefficients on the lambda side (0.0 - omega_c * bytes).
+        prefix_vars: list[list[Var]] = []
+        prefix_coefs: list[list[float]] = []
+        running_vars: list[Var] = []
+        running_coefs: list[float] = []
         for g in range(G):
-            running = running + lin_sum(
-                self.sizes[z] * self.cg[(z, g)] for z in range(len(self.comms))
-            )
-            prefix_bytes.append(running)
+            for z in range(len(self.comms)):
+                running_vars.append(self.cg[(z, g)])
+                running_coefs.append(0.0 - float(self.sizes[z]) * self.copy_cost)
+            prefix_vars.append(list(running_vars))
+            prefix_coefs.append(list(running_coefs))
+        row_rhs = _rhs(overhead + big_m * -1.0)
 
         self.latency: dict[str, Var] = {}
         for task_name in sorted(self.task_comms):
             lam = model.add_continuous(f"lambda[{task_name}]", 0.0, self.lambda_upper)
             rgi = self.rgi[task_name]
             for g_bar in range(G):
-                model.add(
-                    lam
-                    >= (rgi + 1) * self.lambda_overhead
-                    + self.copy_cost * prefix_bytes[g_bar]
-                    - (1 - self.rg[(task_name, g_bar)]) * big_m,
-                    name=f"C9_lo[{task_name}][{g_bar}]",
+                model.add_row(
+                    [lam, rgi] + prefix_vars[g_bar] + [self.rg[(task_name, g_bar)]],
+                    [1.0, 0.0 - overhead] + prefix_coefs[g_bar] + [0.0 - big_m],
+                    Sense.GE,
+                    row_rhs,
+                    f"C9_lo[{task_name}][{g_bar}]",
                 )
             gamma = self.app.tasks[task_name].acquisition_deadline_us
             if self.config.enforce_deadlines and gamma is not None:
-                model.add(lam <= gamma, name=f"C9_deadline[{task_name}]")
+                self._row([lam], [], Sense.LE, f"C9_deadline[{task_name}]", gamma)
             self.latency[task_name] = lam
 
     def _constraint_10_instant_separation(self) -> None:
@@ -583,26 +645,20 @@ class LetDmaFormulation:
         if len(self.instants) == 0:
             return
         hyperperiod = self.app.tasks.hyperperiod_us()
-        pairs = list(zip(self.instants, self.instants[1:]))
-        pairs.append((self.instants[-1], hyperperiod + self.instants[0]))
-        for t1, t2 in pairs:
-            present = [
-                self.comm_index[c]
-                for c in communications_at(self.app, t1)
-                if c in self.comm_index
-            ]
+        next_instants = self.instants[1:] + [hyperperiod + self.instants[0]]
+        caps = self.cgi_caps
+        for t1, t2, pattern in zip(
+            self.instants, next_instants, self.schedule.pattern_ids
+        ):
+            present = self.pattern_present[pattern]
             if not present:
                 continue
-            gap = t2 - t1
-            bytes_at_t1 = sum(self.sizes[z] for z in present)
-            budget = gap - self.copy_cost * bytes_at_t1
+            budget = (t2 - t1) - self.copy_cost * self.pattern_bytes[pattern]
             max_index = math.floor(budget / self.lambda_overhead + 1e-9) - 1
             cap = min(max_index, self.num_transfers - 1)
             for z in present:
-                self.cgi_caps[z] = min(self.cgi_caps.get(z, cap), cap)
-                self.model.add(
-                    self.cgi[z] <= cap, name=f"C10[{t1}][{z}]"
-                )
+                caps[z] = min(caps.get(z, cap), cap)
+                self._row([self.cgi[z]], [], Sense.LE, f"C10[{t1}][{z}]", cap)
 
     # -- objective ---------------------------------------------------------
 

@@ -276,6 +276,21 @@ class AllocationResult:
                 worst[task] = max(worst[task], latency)
         return worst
 
+    def objective_of(self, app: Application, objective) -> float:
+        """The value a paper objective (a
+        :class:`~repro.core.formulation.Objective`) takes on this
+        allocation: Eq. (4) ``max_i RGI_i``, the index of the last
+        transfer at s_0 (``num_transfers - 1``); Eq. (5)
+        ``max_i lambda_i / T_i`` over the hyperperiod; 0.0 for NO-OBJ."""
+        from repro.core.formulation import Objective
+
+        if objective is Objective.MIN_TRANSFERS:
+            return float(max((t.index for t in self.transfers), default=0))
+        if objective is Objective.MIN_DELAY_RATIO:
+            latencies = self.worst_case_latencies(app)
+            return max(latencies[task.name] / task.period_us for task in app.tasks)
+        return 0.0
+
     def summary(self) -> str:
         lines = [
             f"status: {self.status.value}"

@@ -30,6 +30,7 @@ from repro.core.verifier import VerificationReport, verify_allocation
 from repro.faults.injector import FaultInjector
 from repro.faults.policies import PolicyStats, make_policy
 from repro.faults.spec import FaultSpec
+from repro.let.grouping import carry_schedule
 from repro.model.application import Application
 from repro.sim.dma_device import degrade_dma_parameters
 from repro.sim.engine import simulate
@@ -44,6 +45,8 @@ def degraded_application(app: Application, spec: FaultSpec) -> Application:
 
     With ``dma_slowdown == 1`` the original object is returned
     untouched, preserving the byte-identical zero-intensity guarantee.
+    Only the DMA engine changes, so the derived application carries
+    ``app``'s LET schedule instead of recomputing it.
     """
     if spec.dma_slowdown == 1.0:
         return app
@@ -51,7 +54,9 @@ def degraded_application(app: Application, spec: FaultSpec) -> Application:
         app.platform,
         dma=degrade_dma_parameters(app.platform.dma, spec.dma_slowdown),
     )
-    return Application(platform, app.tasks, app.labels)
+    degraded = Application(platform, app.tasks, app.labels)
+    carry_schedule(app, degraded)
+    return degraded
 
 
 @dataclass

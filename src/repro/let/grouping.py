@@ -9,20 +9,27 @@ Given an application and a release instant t, this module computes:
 * ``C(t)``: all LET communications at t;
 * ``T*``: the release instants that require at least one communication.
 
-Communications repeat with the per-task communication hyperperiod H_i*
-(Eq. (3)); instants are reduced modulo H_i* so queries work for any t
-in the full hyperperiod.
+All of them are lookups into one :class:`LetSchedule` per application:
+the communications of every instant of the hyperperiod H, computed
+once by pair enumeration.  Each producer/consumer pair's necessary
+write and read instants (the corrected Eqs. (1)-(2)) repeat with
+``LCM(T_w, T_r)``, which divides H, so one cycle tiled over H gives the
+pair's share of every instant; instants ``t >= H`` are reduced modulo H.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 from repro.let.communication import Communication
-from repro.let.skipping import read_instants, write_instants
+from repro.let.skipping import necessary_read_indices, necessary_write_indices
 from repro.model.application import Application
 
 __all__ = [
+    "LetSchedule",
+    "let_schedule",
+    "carry_schedule",
     "let_groups",
     "write_group",
     "read_group",
@@ -31,6 +38,153 @@ __all__ = [
     "reads_at_memory",
     "active_instants",
 ]
+
+
+class LetSchedule:
+    """The LET communications of one hyperperiod of an application.
+
+    Attributes:
+        hyperperiod_us: H, the period with which the schedule repeats.
+        instants: The active instants of ``[0, H)`` (T*), ascending.
+        patterns: The distinct communication sets C(t) over T*, each a
+            tuple sorted by :attr:`Communication.sort_key`; instants
+            with equal C(t) share one pattern.
+        pattern_ids: ``pattern_ids[k]`` indexes ``patterns`` for
+            ``instants[k]``.
+    """
+
+    __slots__ = (
+        "hyperperiod_us",
+        "instants",
+        "patterns",
+        "pattern_ids",
+        "_pattern_at",
+        "_by_task",
+    )
+
+    def __init__(self, app: Application):
+        self.hyperperiod_us = app.tasks.hyperperiod_us()
+        # Every communication the application can perform, indexed in
+        # sort_key order so that a bitmask of indices decodes sorted.
+        pairs = []
+        comms: set[Communication] = set()
+        for producer, consumer in app.communicating_pairs():
+            labels = app.shared_between(producer, consumer)
+            writes = [Communication.write(producer, label.name) for label in labels]
+            reads = [Communication.read(label.name, consumer) for label in labels]
+            comms.update(writes)
+            comms.update(reads)
+            pairs.append((producer, consumer, writes, reads))
+        ordered = sorted(comms, key=lambda c: c.sort_key)
+        bit = {comm: 1 << i for i, comm in enumerate(ordered)}
+
+        masks: dict[int, int] = {}
+        horizon = self.hyperperiod_us
+        for producer, consumer, writes, reads in pairs:
+            t_w = app.tasks[producer].period_us
+            t_r = app.tasks[consumer].period_us
+            cycle = math.lcm(t_w, t_r)
+            for jobs, period, group in (
+                (necessary_write_indices(t_w, t_r), t_w, writes),
+                (necessary_read_indices(t_r, t_w), t_r, reads),
+            ):
+                mask = 0
+                for comm in group:
+                    mask |= bit[comm]
+                for offset in range(0, horizon, cycle):
+                    for job in jobs:
+                        t = offset + job * period
+                        masks[t] = masks.get(t, 0) | mask
+
+        self.instants = tuple(sorted(masks))
+        pattern_of_mask: dict[int, int] = {}
+        patterns: list[tuple[Communication, ...]] = []
+        pattern_ids = []
+        for t in self.instants:
+            mask = masks[t]
+            pid = pattern_of_mask.get(mask)
+            if pid is None:
+                pid = pattern_of_mask[mask] = len(patterns)
+                patterns.append(
+                    tuple(comm for i, comm in enumerate(ordered) if mask >> i & 1)
+                )
+            pattern_ids.append(pid)
+        self.patterns = tuple(patterns)
+        self.pattern_ids = tuple(pattern_ids)
+        self._pattern_at = dict(zip(self.instants, self.pattern_ids))
+        #: Per pattern, ``task -> (writes, reads)``; filled on demand.
+        self._by_task: dict[int, dict[str, tuple[tuple, tuple]]] = {}
+
+    def at(self, t: int) -> tuple[Communication, ...]:
+        """C(t), sorted; empty for an instant outside T* (mod H)."""
+        pid = self._pattern_at.get(t % self.hyperperiod_us)
+        return () if pid is None else self.patterns[pid]
+
+    def groups(self, t: int, task_name: str) -> tuple[tuple, tuple]:
+        """(G^W(t, task), G^R(t, task)) as sorted tuples."""
+        pid = self._pattern_at.get(t % self.hyperperiod_us)
+        if pid is None:
+            return (), ()
+        by_task = self._by_task.get(pid)
+        if by_task is None:
+            split: dict[str, tuple[list, list]] = {}
+            for comm in self.patterns[pid]:
+                writes, reads = split.setdefault(comm.task, ([], []))
+                (writes if comm.is_write else reads).append(comm)
+            by_task = {
+                task: (tuple(writes), tuple(reads))
+                for task, (writes, reads) in split.items()
+            }
+            self._by_task[pid] = by_task
+        return by_task.get(task_name, ((), ()))
+
+    def instants_before(self, horizon_us: int) -> list[int]:
+        """T* tiled over ``[0, horizon_us)``."""
+        result = []
+        for offset in range(0, horizon_us, self.hyperperiod_us):
+            for t in self.instants:
+                if offset + t >= horizon_us:
+                    break
+                result.append(offset + t)
+        return result
+
+
+#: One schedule per live application (applications are immutable after
+#: construction).  Weak keys: a schedule lives exactly as long as its
+#: application and is never pickled along with it.
+_SCHEDULES: "weakref.WeakKeyDictionary[Application, LetSchedule]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def let_schedule(app: Application) -> LetSchedule:
+    """The application's :class:`LetSchedule`, computed on first use."""
+    schedule = _SCHEDULES.get(app)
+    if schedule is None:
+        schedule = _SCHEDULES[app] = LetSchedule(app)
+    return schedule
+
+
+def _schedule_inputs(app: Application) -> tuple:
+    """Everything a schedule depends on: periods, core mapping, labels."""
+    tasks = tuple((task.name, task.period_us, task.core_id) for task in app.tasks)
+    return tasks, app.labels
+
+
+def carry_schedule(source: Application, derived: Application) -> None:
+    """Give ``derived`` the schedule of ``source`` instead of recomputing it.
+
+    For applications derived from another by changes outside the
+    schedule's inputs (e.g. a degraded DMA engine).  Raises
+    ``ValueError`` when the two differ in periods, core mapping or
+    labels.
+    """
+    if _schedule_inputs(source) != _schedule_inputs(derived):
+        raise ValueError(
+            "applications differ in periods, core mapping or labels; "
+            "their LET schedules differ"
+        )
+    _SCHEDULES[derived] = let_schedule(source)
 
 
 def let_groups(
@@ -45,41 +199,9 @@ def let_groups(
     """
     if t < 0:
         raise ValueError(f"release instant must be non-negative, got {t}")
-    task = app.tasks[task_name]
-    if t % task.period_us != 0:
-        return [], []
-
-    cache: dict[tuple[int, str], tuple[list, list]] = app.__dict__.setdefault(
-        "_let_groups_cache", {}
-    )
-    cached = cache.get((t, task_name))
-    if cached is not None:
-        return list(cached[0]), list(cached[1])
-
-    writes: set[Communication] = set()
-    reads: set[Communication] = set()
-    for peer in app.tasks:
-        if peer.name == task_name:
-            continue
-        labels_out = app.shared_between(task_name, peer.name)
-        labels_in = app.shared_between(peer.name, task_name)
-        if labels_out:
-            cycle = math.lcm(task.period_us, peer.period_us)
-            if t % cycle in write_instants(task, peer, cycle):
-                writes.update(
-                    Communication.write(task_name, label.name) for label in labels_out
-                )
-        if labels_in:
-            cycle = math.lcm(task.period_us, peer.period_us)
-            if t % cycle in read_instants(task, peer, cycle):
-                reads.update(
-                    Communication.read(label.name, task_name) for label in labels_in
-                )
-
-    write_list = sorted(writes, key=lambda c: c.sort_key)
-    read_list = sorted(reads, key=lambda c: c.sort_key)
-    cache[(t, task_name)] = (write_list, read_list)
-    return list(write_list), list(read_list)
+    app.tasks[task_name]  # unknown tasks raise KeyError
+    writes, reads = let_schedule(app).groups(t, task_name)
+    return list(writes), list(reads)
 
 
 def write_group(app: Application, t: int, task_name: str) -> list[Communication]:
@@ -95,26 +217,11 @@ def read_group(app: Application, t: int, task_name: str) -> list[Communication]:
 
 
 def communications_at(app: Application, t: int) -> list[Communication]:
-    """C(t): all LET communications required at instant t, over all tasks.
-
-    Results are memoized per application instance (applications are
-    immutable after construction and this query dominates the runtime
-    of the verifier and the baseline profiles).
-    """
-    cache: dict[int, list[Communication]] = app.__dict__.setdefault(
-        "_communications_cache", {}
-    )
-    cached = cache.get(t)
-    if cached is not None:
-        return list(cached)
-    comms: list[Communication] = []
-    for task in app.tasks:
-        writes, reads = let_groups(app, t, task.name)
-        comms.extend(writes)
-        comms.extend(reads)
-    result = sorted(set(comms), key=lambda c: c.sort_key)
-    cache[t] = result
-    return list(result)
+    """C(t): all LET communications required at instant t, over all tasks,
+    sorted by :attr:`Communication.sort_key`."""
+    if t < 0:
+        raise ValueError(f"release instant must be non-negative, got {t}")
+    return list(let_schedule(app).at(t))
 
 
 def writes_at_memory(app: Application, t: int, memory_id: str) -> list[Communication]:
@@ -139,21 +246,9 @@ def active_instants(app: Application, horizon_us: int | None = None) -> list[int
     """T*: release instants in ``[0, horizon)`` with at least one
     LET communication.
 
-    Defaults to one full hyperperiod.  Only release instants of
-    communicating tasks are candidates, which keeps the scan cheap even
-    for long hyperperiods.
+    Defaults to one full hyperperiod.
     """
-    if horizon_us is None:
-        horizon_us = app.tasks.hyperperiod_us()
-    cache: dict[int, list[int]] = app.__dict__.setdefault(
-        "_active_instants_cache", {}
-    )
-    cached = cache.get(horizon_us)
-    if cached is not None:
-        return list(cached)
-    candidates: set[int] = set()
-    for task in app.communicating_tasks():
-        candidates.update(task.release_instants(horizon_us))
-    result = [t for t in sorted(candidates) if communications_at(app, t)]
-    cache[horizon_us] = result
-    return list(result)
+    schedule = let_schedule(app)
+    if horizon_us is None or horizon_us == schedule.hyperperiod_us:
+        return list(schedule.instants)
+    return schedule.instants_before(horizon_us)

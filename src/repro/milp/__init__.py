@@ -11,6 +11,10 @@ is deliberately PuLP-like::
     model.add(2 * x + y <= 14)
     model.maximize(x + 3 * y)
     solution = model.solve()
+
+Constraints are stored as index/coefficient rows
+(:mod:`repro.milp.rows`); builders of large models emit them directly
+with :meth:`MilpModel.add_row`.
 """
 
 from repro.milp.expr import Constraint, LinExpr, Sense, Var, VarType, lin_sum

@@ -44,7 +44,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from repro.milp.expr import Sense, VarType, bounds_signature
+from repro.milp.expr import VarType, bounds_signature
 from repro.milp.model import MilpModel, ObjectiveSense
 from repro.milp.result import Solution, SolveStatus
 
@@ -721,14 +721,15 @@ def _standard_form(model: MilpModel) -> "_StandardForm":
     """The model's scipy arrays, cached on the model instance so
     portfolio rungs re-solving one formulation convert it only once.
 
-    Keyed by shape *and* a bounds fingerprint: the cut layer's transfer
-    ladder mutates variable bounds in place without changing the
-    model's shape, and a stale ``base_lower``/``base_upper`` snapshot
-    would silently solve the wrong relaxation.
+    Keyed by column count, row-store revision *and* a bounds
+    fingerprint: the cut layer's transfer ladder mutates variable
+    bounds in place without changing the rows, and a stale
+    ``base_lower``/``base_upper`` snapshot would silently solve the
+    wrong relaxation.
     """
     key = (
         model.num_variables,
-        model.num_constraints,
+        model.rows.revision,
         bounds_signature(model.variables),
     )
     cache = model.__dict__.setdefault("_standard_form_cache", {})
@@ -754,20 +755,18 @@ class _StandardForm:
         self.base_lower = np.array([var.lower for var in model.variables])
         self.base_upper = np.array([var.upper for var in model.variables])
 
-        ub_rows: list[tuple[int, dict[int, float], float]] = []
-        eq_rows: list[tuple[int, dict[int, float], float]] = []
-        for constraint in model.constraints:
-            coeffs = {var.index: coef for var, coef in constraint.expr.terms.items()}
-            rhs = -constraint.expr.constant
-            if constraint.sense is Sense.LE:
-                ub_rows.append((len(ub_rows), coeffs, rhs))
-            elif constraint.sense is Sense.GE:
-                negated = {index: -coef for index, coef in coeffs.items()}
-                ub_rows.append((len(ub_rows), negated, -rhs))
-            else:
-                eq_rows.append((len(eq_rows), coeffs, rhs))
-        self.a_ub, self.b_ub = _to_sparse(ub_rows, num_vars)
-        self.a_eq, self.b_eq = _to_sparse(eq_rows, num_vars)
+        rows = model.rows
+        if len(rows):
+            _, _, row_of_entry, rhs, codes = rows.arrays()
+            # GE rows are negated into the <= block.
+            sign_of_row = np.where(codes > 0, -1.0, 1.0)
+            matrix = rows.matrix()
+            matrix.data = matrix.data * sign_of_row[row_of_entry]
+            rhs = sign_of_row * rhs
+            self.a_ub, self.b_ub = _row_block(matrix, rhs, codes != 0)
+            self.a_eq, self.b_eq = _row_block(matrix, rhs, codes == 0)
+        else:
+            self.a_ub = self.b_ub = self.a_eq = self.b_eq = None
 
     def solve_relaxation_bounds(
         self,
@@ -929,20 +928,11 @@ class _Propagator:
         return idx[ub_mask | lb_mask]
 
 
-def _to_sparse(rows, num_vars):
-    if not rows:
+def _row_block(matrix, rhs, selected):
+    """The selected rows as a canonical CSR block (sorted indices,
+    explicit zeros kept) with their right-hand sides, or (None, None)."""
+    if not selected.any():
         return None, None
-    data = []
-    row_indices = []
-    col_indices = []
-    rhs = []
-    for row_index, coeffs, bound in rows:
-        for col, coef in coeffs.items():
-            row_indices.append(row_index)
-            col_indices.append(col)
-            data.append(coef)
-        rhs.append(bound)
-    matrix = sparse.csr_matrix(
-        (data, (row_indices, col_indices)), shape=(len(rows), num_vars)
-    )
-    return matrix, np.array(rhs)
+    block = sparse.csr_matrix(matrix[selected])
+    block.sum_duplicates()
+    return block, rhs[selected]

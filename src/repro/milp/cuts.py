@@ -57,7 +57,7 @@ import time
 
 import numpy as np
 
-from repro.milp.expr import Constraint, LinExpr, Sense, Var
+from repro.milp.expr import LinExpr, Sense, Var
 from repro.milp.result import Solution, SolveStatus
 
 __all__ = [
@@ -208,18 +208,7 @@ def _group_plan(key, members, variant_masks, labels) -> _GroupPlan:
                 relevant = {vm & mask for vm in variant_masks}
                 relevant = [r for r in relevant if r.bit_count() >= 2]
                 out = []
-                for perm in itertools.permutations(picked):
-                    pos = {m: p for p, m in enumerate(perm)}
-                    ok = True
-                    for r in relevant:
-                        ps = sorted(pos[i] for i in picked if r >> i & 1)
-                        if ps[-1] - ps[0] != len(ps) - 1:
-                            ok = False
-                            break
-                    if ok:
-                        out.append(tuple(members[i] for i in perm))
-                        if len(out) >= _WITNESS_LIMIT:
-                            break
+                _extend_orders(picked, relevant, [], 0, members, out)
         witness_cache[mask] = out
         return out
 
@@ -278,6 +267,31 @@ def _group_plan(key, members, variant_masks, labels) -> _GroupPlan:
                 w = witnesses(mask)
                 orders[mask] = list(w) if w else []
     return _GroupPlan(key, members, bound, partitions, orders)
+
+
+def _extend_orders(picked, relevant, order, placed, members, out) -> bool:
+    """Depth-first, in ``itertools.permutations(picked)`` order, append
+    to ``out`` the orders of ``picked`` that keep every mask in
+    ``relevant`` consecutive, up to ``_WITNESS_LIMIT``; True once full.
+
+    A prefix is abandoned as soon as it splits a mask — places another
+    member while the mask is begun but unfinished — so only orders that
+    pass the consecutiveness test are completed, in the same sequence
+    an exhaustive scan of the permutations would accept them."""
+    if len(order) == len(picked):
+        out.append(tuple(members[i] for i in order))
+        return len(out) >= _WITNESS_LIMIT
+    begun = [r for r in relevant if placed & r and placed & r != r]
+    for i in picked:
+        bit = 1 << i
+        if placed & bit or any(not r & bit for r in begun):
+            continue
+        order.append(i)
+        full = _extend_orders(picked, relevant, order, placed | bit, members, out)
+        order.pop()
+        if full:
+            return True
+    return False
 
 
 def transfer_lower_bound(hints) -> TransferBound:
@@ -1096,13 +1110,15 @@ class ReducedCutSource:
 def apply_cuts(model, cuts) -> int:
     """Append cuts to ``model`` as named ``CUT_*`` constraint rows.
 
-    The caller owns removal (``del model.constraints[n:]``) — the
+    The caller owns removal (``model.rows.rollback(mark)``) — the
     transfer ladder adds stage cuts and strips them after each probe.
     """
     added = 0
     for cut in cuts:
-        expr = LinExpr(dict(cut.terms), -cut.rhs)
-        model.add(Constraint(expr, cut.sense), name=f"CUT_{cut.name}")
+        model.add_row(
+            list(cut.terms), list(cut.terms.values()), cut.sense, cut.rhs,
+            f"CUT_{cut.name}",
+        )
         added += 1
     return added
 
@@ -1207,7 +1223,7 @@ def _solve_stage(
 
     saved_bounds: list = []
     saved_objective = model.objective
-    n_constraints = len(model.constraints)
+    rows_mark = model.rows.mark()
     try:
         _cap_stage(model, hints, k, saved_bounds)
         model.objective = LinExpr()
@@ -1244,7 +1260,7 @@ def _solve_stage(
             model, budget, mip_gap, start, ReducedCutSource(engine), parallel
         )
     finally:
-        del model.constraints[n_constraints:]
+        model.rows.rollback(rows_mark)
         model.objective = saved_objective
         for var, lower, upper in saved_bounds:
             var.lower = lower

@@ -26,10 +26,12 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from repro.milp.expr import LinExpr, Sense, VarType
+from repro.milp.expr import Sense, VarType
 from repro.milp.model import MilpModel, ObjectiveSense
 
 __all__ = ["lp_string", "write_lp"]
+
+_OPERATORS = {Sense.LE: "<=", Sense.GE: ">=", Sense.EQ: "="}
 
 _VALID = re.compile(r"[A-Za-z!\"#$%&()/,;?@_`'{}|~][A-Za-z0-9!\"#$%&()/.,;?@_`'{}|~]*")
 
@@ -52,10 +54,10 @@ def _sanitize_names(model: MilpModel) -> dict:
     return mapping
 
 
-def _format_expr(expr: LinExpr, names: dict) -> str:
-    """``+ 2 x - 3 y`` style rendering (constant excluded)."""
+def _format_terms(terms, names: dict) -> str:
+    """``+ 2 x - 3 y`` style rendering of ``(var, coef)`` pairs."""
     parts = []
-    for var, coef in expr.terms.items():
+    for var, coef in terms:
         if coef == 0:
             continue
         sign = "+" if coef >= 0 else "-"
@@ -77,24 +79,21 @@ def lp_string(model: MilpModel) -> str:
         "Minimize" if model.objective_sense == ObjectiveSense.MINIMIZE else "Maximize"
     )
     lines.append(sense)
-    lines.append(" obj: " + _format_expr(model.objective, names))
+    lines.append(" obj: " + _format_terms(model.objective.terms.items(), names))
 
     lines.append("Subject To")
     cut_marker_emitted = False
-    for index, constraint in enumerate(model.constraints):
-        if (
-            not cut_marker_emitted
-            and constraint.name
-            and constraint.name.startswith("CUT_")
-        ):
+    rows = model.rows
+    variables = model.variables
+    for index, label in enumerate(rows.names):
+        if not cut_marker_emitted and label.startswith("CUT_"):
             lines.append("\\ cutting planes (repro.milp.cuts)")
             cut_marker_emitted = True
-        label = constraint.name or f"c{index}"
-        label = re.sub(r"[^A-Za-z0-9_]", "_", label)
-        rhs = -constraint.expr.constant
-        op = {Sense.LE: "<=", Sense.GE: ">=", Sense.EQ: "="}[constraint.sense]
-        body = _format_expr(constraint.expr, names)
-        lines.append(f" {label}_{index}: {body} {op} {rhs:.12g}")
+        label = re.sub(r"[^A-Za-z0-9_]", "_", label or f"c{index}")
+        indices, coefs = rows.terms(index)
+        body = _format_terms(zip([variables[j] for j in indices], coefs), names)
+        op = _OPERATORS[rows.senses[index]]
+        lines.append(f" {label}_{index}: {body} {op} {rows.rhs[index]:.12g}")
 
     lines.append("Bounds")
     for var in model.variables:

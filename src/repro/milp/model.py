@@ -14,8 +14,11 @@ import logging
 import math
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.milp.expr import Constraint, LinExpr, Sense, Var, VarType, lin_sum
 from repro.milp.result import Solution, SolveStatus
+from repro.milp.rows import RowStore
 
 __all__ = ["MilpModel", "ObjectiveSense"]
 
@@ -44,7 +47,8 @@ class MilpModel:
     def __init__(self, name: str = "milp"):
         self.name = name
         self.variables: list[Var] = []
-        self.constraints: list[Constraint] = []
+        #: Every constraint row (see :mod:`repro.milp.rows`).
+        self.rows = RowStore(self.variables)
         self.objective: LinExpr = LinExpr()
         self.objective_sense: str = ObjectiveSense.MINIMIZE
         self._names: set[str] = set()
@@ -97,7 +101,11 @@ class MilpModel:
     # ------------------------------------------------------------------
 
     def add(self, constraint: Constraint, name: str = "") -> Constraint:
-        """Register a constraint built with ``<=``, ``>=``, or ``==``."""
+        """Register a constraint built with ``<=``, ``>=``, or ``==``.
+
+        The constraint is copied into the row store; later changes to
+        the returned object do not reach the model.
+        """
         if not isinstance(constraint, Constraint):
             raise TypeError(
                 "add() expects a Constraint; build one with <=, >= or == "
@@ -105,8 +113,27 @@ class MilpModel:
             )
         if name:
             constraint.named(name)
-        self.constraints.append(constraint)
+        terms = constraint.expr.terms
+        self.rows.append(
+            [var.index for var in terms],
+            list(terms.values()),
+            constraint.sense,
+            -constraint.expr.constant,
+            constraint.name,
+        )
         return constraint
+
+    def add_row(
+        self,
+        variables: Sequence[Var],
+        coefs: Sequence[float],
+        sense: Sense,
+        rhs: float,
+        name: str = "",
+    ) -> None:
+        """Add ``sum(coefs[k] * variables[k]) (sense) rhs`` directly,
+        without building an expression; ``variables`` must be distinct."""
+        self.rows.append([var.index for var in variables], coefs, sense, rhs, name)
 
     def add_all(self, constraints: Iterable[Constraint], prefix: str = "") -> None:
         for i, constraint in enumerate(constraints):
@@ -382,13 +409,30 @@ class MilpModel:
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.rows)
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """Every row as a :class:`Constraint` — fresh copies, for
+        inspection; the model itself is changed through :meth:`add`,
+        :meth:`add_row` and :attr:`rows`."""
+        return tuple(self.rows.constraint(i) for i in range(len(self.rows)))
 
     def check_assignment(
         self, assignment: dict[Var, float], tol: float = 1e-6
     ) -> list[Constraint]:
-        """All constraints violated by ``assignment`` (empty if feasible)."""
-        return [c for c in self.constraints if not c.is_satisfied(assignment, tol)]
+        """All constraints violated by ``assignment`` (empty if feasible).
+
+        One vectorized pass over every row (a sparse product whose
+        rows sum their terms in order, as a row-by-row evaluation
+        does); a row is violated when its activity misses the
+        right-hand side by more than ``tol``, and a variable missing
+        from ``assignment`` violates every row that uses it.
+        """
+        x = np.array(
+            [assignment.get(var, math.nan) for var in self.variables], dtype=float
+        )
+        return [self.rows.constraint(i) for i in self.rows.violated(x, tol)]
 
     def stats(self) -> str:
         return (

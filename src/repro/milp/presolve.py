@@ -41,7 +41,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.milp.expr import (
-    Constraint,
     LinExpr,
     Sense,
     Var,
@@ -223,15 +222,15 @@ _PRESOLVE_CACHE_MAX = 6
 def presolve_model(model: MilpModel, max_rounds: int = 10) -> PresolvedModel:
     """Run the presolve passes and return the reduced model.
 
-    The result is cached on the model instance — keyed by its shape
-    *and* a bounds fingerprint, because variable bounds mutate in place
-    (the cut layer's transfer ladder) without changing the shape — so
-    portfolio rungs sharing one formulation presolve each bound profile
-    once.
+    The result is cached on the model instance — keyed by its column
+    count, its row-store revision *and* a bounds fingerprint, because
+    variable bounds mutate in place (the cut layer's transfer ladder)
+    without changing the rows — so portfolio rungs sharing one
+    formulation presolve each bound profile once.
     """
     cache_key = (
         model.num_variables,
-        model.num_constraints,
+        model.rows.revision,
         bounds_signature(model.variables),
     )
     cache = model.__dict__.setdefault("_presolve_cache", {})
@@ -264,16 +263,16 @@ class _Presolver:
 
         self.rows: list[_Row] = []
         self.col_rows: dict[int, list[_Row]] = {}
-        for constraint in model.constraints:
-            coeffs = {}
-            for var, coef in constraint.expr.terms.items():
-                if coef != 0.0:
-                    coeffs[var.index] = float(coef)
-            rhs = -constraint.expr.constant
-            if constraint.sense is Sense.GE:
-                coeffs = {j: -a for j, a in coeffs.items()}
+        store = model.rows
+        for i, sense in enumerate(store.senses):
+            indices, coefs = store.terms(i)
+            rhs = store.rhs[i]
+            if sense is Sense.GE:
+                coeffs = {j: -float(a) for j, a in zip(indices, coefs) if a != 0.0}
                 rhs = -rhs
-            row = _Row(coeffs, rhs, constraint.sense is Sense.EQ, constraint.name)
+            else:
+                coeffs = {j: float(a) for j, a in zip(indices, coefs) if a != 0.0}
+            row = _Row(coeffs, rhs, sense is Sense.EQ, store.names[i])
             self.rows.append(row)
             for j in coeffs:
                 self.col_rows.setdefault(j, []).append(row)
@@ -506,10 +505,13 @@ class _Presolver:
         for row in self.rows:
             if not row.alive or not row.coeffs:
                 continue
-            terms = {var_map[j]: a for j, a in row.coeffs.items()}
-            expr = LinExpr(terms, -row.rhs)
-            sense = Sense.EQ if row.eq else Sense.LE
-            reduced.add(Constraint(expr, sense, name=row.name))
+            reduced.add_row(
+                [var_map[j] for j in row.coeffs],
+                list(row.coeffs.values()),
+                Sense.EQ if row.eq else Sense.LE,
+                row.rhs,
+                row.name,
+            )
 
         # Backends report sum(coef * value) without the expression
         # constant, so the offset tracks only fixed-variable terms.

@@ -245,6 +245,7 @@ def _run_rung(
     if rung == "greedy":
         start = time.perf_counter()
         result = greedy_allocation(app)
+        result.objective_value = result.objective_of(app, config.objective)
         result.runtime_seconds = time.perf_counter() - start
         return result
     backend, _, variant = rung.partition("-")

@@ -25,6 +25,18 @@ class TestDegradedApplication:
         assert degraded.tasks is app.tasks
         assert degraded.labels is app.labels
 
+    def test_carries_the_let_schedule(self, solved):
+        from repro.let.grouping import LetSchedule, let_schedule
+
+        app, _ = solved
+        degraded = degraded_application(app, FaultSpec(dma_slowdown=2.0))
+        carried = let_schedule(degraded)
+        assert carried is let_schedule(app)
+        fresh = LetSchedule(degraded)
+        assert carried.instants == fresh.instants
+        assert carried.patterns == fresh.patterns
+        assert carried.pattern_ids == fresh.pattern_ids
+
     def test_slowdown_below_one_rejected(self, solved):
         app, _ = solved
         with pytest.raises(ValueError):

@@ -116,16 +116,17 @@ class TestCutValidity:
         hints = structure_hints(formulation.model)
         engine = CutEngine(hints, transfer_lower_bound(hints))
         model = formulation.model
-        before = model.num_constraints
+        mark = model.rows.mark()
         added = apply_cuts(model, engine.static_cuts())
         try:
             assert added > 0
-            new_rows = model.constraints[before:]
-            assert all(row.name.startswith("CUT_") for row in new_rows)
+            new_rows = model.rows.names[mark[0]:]
+            assert all(name.startswith("CUT_") for name in new_rows)
             # Symmetry rows are not cuts and must never appear here.
-            assert not any("SYM_" in row.name for row in new_rows)
+            assert not any("SYM_" in name for name in new_rows)
         finally:
-            del model.constraints[before:]
+            model.rows.rollback(mark)
+        assert model.rows.mark() == mark
 
 
 class TestCutLayerSolve:
@@ -153,6 +154,7 @@ class TestCutLayerSolve:
         model = formulation.model
         rows_before = model.num_constraints
         names_before = [c.name for c in model.constraints]
+        revision_before = model.rows.revision
         bounds_before = [(v.lower, v.upper) for v in model.variables]
         objective_before = model.objective
 
@@ -160,6 +162,7 @@ class TestCutLayerSolve:
 
         assert model.num_constraints == rows_before
         assert [c.name for c in model.constraints] == names_before
+        assert model.rows.revision == revision_before
         assert [(v.lower, v.upper) for v in model.variables] == bounds_before
         assert model.objective is objective_before
         assert not any(c.name.startswith("CUT_") for c in model.constraints)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import FormulationConfig, verify_allocation
+from repro.core import FormulationConfig, Objective, verify_allocation
 from repro.milp import SolveStatus
 from repro.runtime import PORTFOLIO_RUNGS, solve_with_portfolio
 
@@ -48,6 +48,28 @@ class TestDegradation:
         assert result.fallback_chain[0].status == "timeout"
         assert result.fallback_chain[1].status == "timeout"
         assert "time limit" in result.fallback_chain[0].reason
+
+    @pytest.mark.parametrize(
+        "objective", [Objective.NONE, Objective.MIN_TRANSFERS, Objective.MIN_DELAY_RATIO]
+    )
+    def test_greedy_reports_its_objective(self, timeout_app, objective):
+        result = solve_with_portfolio(
+            timeout_app, FormulationConfig(objective=objective), rungs=("greedy",)
+        )
+        assert result.backend == "greedy"
+        if objective is Objective.MIN_TRANSFERS:
+            # Eq. (4): max_i RGI_i, the index of the last transfer.
+            assert result.objective_value == result.num_transfers - 1
+        elif objective is Objective.MIN_DELAY_RATIO:
+            # Eq. (5): max_i lambda_i / T_i over the hyperperiod.
+            latencies = result.worst_case_latencies(timeout_app)
+            expected = max(
+                latencies[task.name] / task.period_us for task in timeout_app.tasks
+            )
+            assert expected > 0.0
+            assert result.objective_value == pytest.approx(expected)
+        else:
+            assert result.objective_value == 0.0
 
     def test_greedy_fallback_is_feasible_layout(self, timeout_app, timeout_config):
         result = solve_with_portfolio(timeout_app, timeout_config)
