@@ -19,11 +19,10 @@ pair's share of every instant; instants ``t >= H`` are reduced modulo H.
 
 from __future__ import annotations
 
-import math
 import weakref
 
 from repro.let.communication import Communication
-from repro.let.skipping import necessary_read_indices, necessary_write_indices
+from repro.let.skipping import read_instants, write_instants
 from repro.model.application import Application
 
 __all__ = [
@@ -81,20 +80,16 @@ class LetSchedule:
         masks: dict[int, int] = {}
         horizon = self.hyperperiod_us
         for producer, consumer, writes, reads in pairs:
-            t_w = app.tasks[producer].period_us
-            t_r = app.tasks[consumer].period_us
-            cycle = math.lcm(t_w, t_r)
-            for jobs, period, group in (
-                (necessary_write_indices(t_w, t_r), t_w, writes),
-                (necessary_read_indices(t_r, t_w), t_r, reads),
+            producer_task, consumer_task = app.tasks[producer], app.tasks[consumer]
+            for instants, group in (
+                (write_instants(producer_task, consumer_task, horizon), writes),
+                (read_instants(consumer_task, producer_task, horizon), reads),
             ):
                 mask = 0
                 for comm in group:
                     mask |= bit[comm]
-                for offset in range(0, horizon, cycle):
-                    for job in jobs:
-                        t = offset + job * period
-                        masks[t] = masks.get(t, 0) | mask
+                for t in instants:
+                    masks[t] = masks.get(t, 0) | mask
 
         self.instants = tuple(sorted(masks))
         pattern_of_mask: dict[int, int] = {}

@@ -411,13 +411,6 @@ class MilpModel:
     def num_constraints(self) -> int:
         return len(self.rows)
 
-    @property
-    def constraints(self) -> tuple[Constraint, ...]:
-        """Every row as a :class:`Constraint` — fresh copies, for
-        inspection; the model itself is changed through :meth:`add`,
-        :meth:`add_row` and :attr:`rows`."""
-        return tuple(self.rows.constraint(i) for i in range(len(self.rows)))
-
     def check_assignment(
         self, assignment: dict[Var, float], tol: float = 1e-6
     ) -> list[Constraint]:

@@ -107,7 +107,9 @@ class RowStore:
     def rollback(self, mark: tuple[int, int]) -> None:
         """Drop every row appended since ``mark`` was taken."""
         count, revision = mark
-        del self.indices[self.indptr[count] :]
+        end = self.indptr[count]
+        del self.indices[end:]
+        del self.coefs[end:]
         del self.indptr[count + 1 :]
         for column in (self.senses, self.rhs, self.names):
             del column[count:]

@@ -20,6 +20,7 @@ from repro.milp.cuts import (
     structure_hints,
     transfer_lower_bound,
 )
+from repro.milp.expr import Sense
 from repro.waters import waters_application
 from repro.workloads import WorkloadSpec, generate_application
 
@@ -153,7 +154,7 @@ class TestCutLayerSolve:
         formulation = _synthetic_formulation(2)
         model = formulation.model
         rows_before = model.num_constraints
-        names_before = [c.name for c in model.constraints]
+        names_before = list(model.rows.names)
         revision_before = model.rows.revision
         bounds_before = [(v.lower, v.upper) for v in model.variables]
         objective_before = model.objective
@@ -161,11 +162,64 @@ class TestCutLayerSolve:
         model.solve(backend="highs", cuts=True)
 
         assert model.num_constraints == rows_before
-        assert [c.name for c in model.constraints] == names_before
+        assert model.rows.names == names_before
+        assert len(model.rows.coefs) == len(model.rows.indices)
         assert model.rows.revision == revision_before
         assert [(v.lower, v.upper) for v in model.variables] == bounds_before
         assert model.objective is objective_before
-        assert not any(c.name.startswith("CUT_") for c in model.constraints)
+        assert not any(name.startswith("CUT_") for name in model.rows.names)
+
+    def test_ladder_stages_without_presolve(self, monkeypatch):
+        """Several capped stages on the unreduced model: each appends
+        and strips its cut rows, and the rows left behind must still be
+        the model's own (checked through arrays built after the
+        ladder, and through rows appended after it)."""
+        from repro.milp import cuts
+
+        plain = _synthetic_formulation(2).model.solve(backend="highs", cuts=False)
+        assert plain.status is SolveStatus.OPTIMAL
+
+        formulation = _synthetic_formulation(2)
+        model = formulation.model
+        rows_before = model.num_constraints
+        true_bound = cuts.transfer_lower_bound
+
+        def weakened(hints):
+            bound = true_bound(hints)
+            return cuts.TransferBound(
+                max(0, bound.total - 1), bound.plans, bound.seconds
+            )
+
+        stages = []
+        true_stage = cuts._solve_stage
+
+        def counted(*args, **kwargs):
+            stages.append(args[3])
+            return true_stage(*args, **kwargs)
+
+        # No constructive certificate and a bound one below the true
+        # one: the ladder must prove stage k=L-1 infeasible and then
+        # find stage k=L feasible.
+        monkeypatch.setattr(cuts, "transfer_lower_bound", weakened)
+        monkeypatch.setattr(cuts, "construct_incumbent", lambda *a, **k: None)
+        monkeypatch.setattr(cuts, "_solve_stage", counted)
+        layered = model.solve(backend="highs", cuts=True, presolve=False)
+
+        assert len(stages) >= 2
+        assert layered.status is SolveStatus.OPTIMAL
+        assert layered.objective == pytest.approx(plain.objective)
+        assert model.num_constraints == rows_before
+        assert len(model.rows.coefs) == len(model.rows.indices)
+        assert model.check_assignment(layered.values) == []
+
+        # A row unlike the stripped cut rows keeps its own coefficients.
+        variables = model.variables[:3]
+        model.add_row(variables, [3.0, -1.5, 0.25], Sense.LE, 1e9, "after")
+        assert model.rows.terms(rows_before) == (
+            [var.index for var in variables],
+            [3.0, -1.5, 0.25],
+        )
+        assert model.check_assignment(layered.values) == []
 
 
 class TestStrengthenModel:
@@ -179,7 +233,7 @@ class TestStrengthenModel:
         assert cuts_added >= 1
         assert rounds_run >= 0
         cut_rows = [
-            c for c in formulation.model.constraints if c.name.startswith("CUT_")
+            name for name in formulation.model.rows.names if name.startswith("CUT_")
         ]
         assert len(cut_rows) == cuts_added
         assert formulation.model.num_constraints == rows_before + cuts_added

@@ -82,9 +82,8 @@ class TestGoldenLpText:
 
 def _row_by_row(model, assignment, tol=1e-6):
     """The reference: every row as an expression, evaluated on its own."""
-    return [
-        repr(c) for c in model.constraints if not c.is_satisfied(assignment, tol)
-    ]
+    rows = (model.rows.constraint(i) for i in range(model.num_constraints))
+    return [repr(c) for c in rows if not c.is_satisfied(assignment, tol)]
 
 
 def _vectorized(model, assignment, tol=1e-6):
